@@ -71,7 +71,6 @@ class DCJODEngine:
         drop_manager: DropManager | None = None,
     ) -> None:
         self.spark = spark
-        fr.tune(spark)
         self.spec = spec
         self.edges = initial_edges.reset_index(drop=True).copy()
         self.store = DiffStore()
@@ -89,10 +88,9 @@ class DCJODEngine:
         if self._edges_sp is not None:
             self._edges_sp.unpersist()
         self._edges_sp = fr.edges_to_spark(self.spark, self.edges)
-        out_deg = self.edges.groupby("src").size()
+        self._outdeg = static_ife.outdegrees(self.edges)
         in_deg = self.edges.groupby("dst").size()
-        self._outdeg = out_deg.astype(np.float64)
-        self._deg = out_deg.add(in_deg, fill_value=0).astype(np.float64)
+        self._deg = self._outdeg.add(in_deg, fill_value=0).astype(np.float64)
 
     def close(self) -> None:
         if self._edges_sp is not None:
@@ -186,26 +184,19 @@ class DCJODEngine:
             if len(sub):
                 sub_states = self._resolve(sub, memo)
             else:
-                sub_states = pd.DataFrame({"qid": [], "v": [], "t": [], "val": []})
-            # Recompute the aggregation per target at its own d* in Spark.
-            # Targets can sit at different d* levels; group by level so each
-            # Spark job reads a consistent states-at-(d*-1) snapshot.
-            recs = []
-            for d_level, grp in targets.groupby("d"):
-                frontier_keys = grp[["qid", "v"]]
-                st = sub_states[sub_states["t"] == d_level - 1]
-                st = st[np.isfinite(st["val"])].rename(columns={"v": "w"})
-                if self.spec.needs_outdeg and len(st):
-                    st = st.assign(aux=st["w"].map(self._outdeg).fillna(1.0))
-                base = static_ife.base_rows(self.spec, frontier_keys)
-                agg = fr.aggregate_at(
-                    self.spark, self._edges_sp, frontier_keys, st, base, self.spec
-                )
-                got = frontier_keys.merge(agg, on=["qid", "v"], how="left")
-                got["val"] = got["val"].fillna(INF)
-                got["d"] = np.int64(d_level)
-                recs.append(got)
-            rec = pd.concat(recs, ignore_index=True)
+                sub_states = sub.assign(val=pd.Series(dtype=np.float64))
+            # Recompute every target at its own d* in one Spark job: the
+            # operator pairs each target (qid, v, t=d*) with the in-neighbour
+            # states resolved at t-1.
+            frontier_keys = targets.rename(columns={"d": "t"})
+            st = fr.sender_states(sub_states, self.spec, self._outdeg)
+            base = static_ife.base_rows(self.spec, frontier_keys)
+            agg = fr.aggregate_at(
+                self.spark, self._edges_sp, frontier_keys, st, base, self.spec
+            )
+            rec = frontier_keys.merge(agg, on=["qid", "v", "t"], how="left")
+            rec = rec.rename(columns={"t": "d"})
+            rec["val"] = rec["val"].fillna(INF)
             for row in rec.itertuples(index=False):
                 memo[(int(row.qid), int(row.v), int(row.d))] = float(row.val)
             out = todo.merge(
@@ -335,9 +326,7 @@ class DCJODEngine:
         ).drop_duplicates()
         states = self._states_for(need, i - 1)
         self._last_states = states  # reused for prev-value lookup
-        st = states[np.isfinite(states["val"])].rename(columns={"v": "w"})
-        if self.spec.needs_outdeg and len(st):
-            st = st.assign(aux=st["w"].map(self._outdeg).fillna(1.0))
+        st = fr.sender_states(states, self.spec, self._outdeg)
         base = static_ife.base_rows(self.spec, F)
         agg = fr.aggregate_at(self.spark, self._edges_sp, F, st, base, self.spec)
         new = F.merge(agg, on=["qid", "v"], how="left")

@@ -1,23 +1,34 @@
 """The IFE ExpandFrontier operator pair (Fig. 1) as Spark DataFrame jobs.
 
-Each call is one Catalyst job: the Join operator (frontier ⋈ edges ⋈
-neighbour states) followed by the aggregation operator (groupBy + min/sum),
-exactly the dataflow in Fig. 1b. Three entry points:
+Each call is one Catalyst job: the Join operator (states ⋈ edges, the
+message function f(state_w, e)) followed by the aggregation operator
+(groupBy + min/sum), exactly the dataflow in Fig. 1b. Every entry point
+goes through the same two helpers: :func:`_upload` lifts a pandas frame
+into Spark with canonical column types, and :func:`_aggregate` unions the
+message parts, aggregates them per key and collects the result. The four
+entry points differ only in which rows meet the Join and which keys the
+aggregation keeps:
 
 * :func:`aggregate_at` — recomputation-style: for each frontier vertex v,
   ``D[v] = agg(base(v), { f(state_w, e) : e=(w,v) })``. Used by DC^JOD
   recomputation, by dropped-difference recomputation, and by PageRank.
+  When the frontier carries an iteration column ``t`` the states carry
+  one too, and each frontier row reads the states at ``t − 1``: targets at
+  many iterations resolve in one job.
 * :func:`push_messages` — frontier-style: messages from changed vertices to
   their out-neighbours, pre-aggregated per destination. Used by the static
-  (Scratch) engine and by VDC's δJ maintenance. For min-aggregators the two
-  styles produce identical traces (monotone-relaxation equivalence; see
-  DESIGN.md §5).
+  (Scratch) engine. For min-aggregators the two styles produce identical
+  traces (monotone-relaxation equivalence; see DESIGN.md §5).
+* :func:`raw_messages` — the Join output kept per sender: one row per
+  (changed w, receiver v), the δJ differences VDC materializes. The
+  sender's ``it`` is kept when the input has one.
 * :func:`aggregate_msgs` — aggregation over already-materialized messages
   (VDC reassembling J from its δJ store).
 
 All inputs/outputs at this boundary are pandas frames (the driver-side
 arrangement); the join/aggregate work itself is Spark SQL. Broadcast joins
-stay disabled by the session fixture, so the shuffle path is exercised.
+stay disabled in the session (:func:`repro.harness.tables.get_spark`), so
+the shuffle path is exercised.
 """
 from __future__ import annotations
 
@@ -29,56 +40,54 @@ from pyspark.sql import types as T
 
 from repro.core.specs import QuerySpec
 
-_STATE_SCHEMA = T.StructType(
-    [
-        T.StructField("qid", T.LongType()),
-        T.StructField("w", T.LongType()),
-        T.StructField("val", T.DoubleType()),
-        T.StructField("aux", T.DoubleType()),
-    ]
-)
-_FRONTIER_SCHEMA = T.StructType(
-    [T.StructField("qid", T.LongType()), T.StructField("v", T.LongType())]
-)
-_MSG_SCHEMA = T.StructType(
-    [
-        T.StructField("qid", T.LongType()),
-        T.StructField("v", T.LongType()),
-        T.StructField("val", T.DoubleType()),
-    ]
-)
-
-EDGE_SPARK_SCHEMA = T.StructType(
-    [
-        T.StructField("src", T.LongType()),
-        T.StructField("dst", T.LongType()),
-        T.StructField("weight", T.DoubleType()),
-    ]
-)
+#: Columns crossing the pandas→Spark boundary as 64-bit integers; every
+#: other column (val, aux, weight) is a double.
+_LONG_COLS = ("qid", "v", "w", "t", "it", "src", "dst")
 
 
-def tune(spark: SparkSession) -> None:
-    """Size shuffles for the many small iterative jobs this dataflow issues.
+def _dtype(col: str):
+    return np.int64 if col in _LONG_COLS else np.float64
 
-    The session default (64 partitions) is right for one big scan; an IFE
-    maintenance pass issues hundreds of joins over frames of a few thousand
-    rows, where per-partition scheduling overhead dominates. 8 partitions
-    keeps the shuffle path exercised (broadcast joins stay disabled) without
-    drowning in task latency.
-    """
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
+
+def _upload(spark: SparkSession, df: pd.DataFrame, cols: list[str]) -> DataFrame:
+    """Lift ``df[cols]`` into Spark with the canonical column types."""
+    pdf = pd.DataFrame({c: df[c].to_numpy(_dtype(c)) for c in cols})
+    schema = T.StructType(
+        [T.StructField(c, T.LongType() if c in _LONG_COLS else T.DoubleType()) for c in cols]
+    )
+    return spark.createDataFrame(pdf, schema=schema)
+
+
+def _empty(cols: list[str]) -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series(dtype=_dtype(c)) for c in cols})
+
+
+def _aggregate(parts: list[DataFrame], keys: list[str], spec: QuerySpec) -> pd.DataFrame:
+    """The aggregation operator: union message parts (columns ``keys`` +
+    ``mval``), min/sum per key, collect as (keys..., val)."""
+    if not parts:
+        return _empty(keys + ["val"])
+    allm = parts[0]
+    for p in parts[1:]:
+        allm = allm.unionByName(p)
+    agg = F.min("mval") if spec.agg == "min" else F.sum("mval")
+    return allm.groupBy(*keys).agg(agg.alias("val")).toPandas()
 
 
 def edges_to_spark(spark: SparkSession, edges: pd.DataFrame) -> DataFrame:
     """Lift the current graph version's edges into a (persisted) Spark DF."""
-    pdf = pd.DataFrame(
-        {
-            "src": edges["src"].astype(np.int64),
-            "dst": edges["dst"].astype(np.int64),
-            "weight": edges["weight"].astype(np.float64),
-        }
-    )
-    return spark.createDataFrame(pdf, schema=EDGE_SPARK_SCHEMA).persist()
+    return _upload(spark, edges, ["src", "dst", "weight"]).persist()
+
+
+def sender_states(
+    states: pd.DataFrame, spec: QuerySpec, outdeg: pd.Series
+) -> pd.DataFrame:
+    """Join input from (qid, v, val, ...) states: the finite ones, keyed by
+    sender ``w``, with PR's sender out-degree attached as ``aux``."""
+    st = states[np.isfinite(states["val"].to_numpy(np.float64))].rename(columns={"v": "w"})
+    if spec.needs_outdeg:
+        st = st.assign(aux=st["w"].map(outdeg).fillna(1.0))
+    return st
 
 
 def _message_col(spec: QuerySpec):
@@ -94,24 +103,9 @@ def _message_col(spec: QuerySpec):
     raise ValueError(spec.kind)
 
 
-def _agg_expr(spec: QuerySpec):
-    return F.min("mval") if spec.agg == "min" else F.sum("mval")
-
-
-def _states_df(spark: SparkSession, states: pd.DataFrame) -> DataFrame:
-    pdf = pd.DataFrame(
-        {
-            "qid": states["qid"].astype(np.int64),
-            "w": states["w"].astype(np.int64),
-            "val": states["val"].astype(np.float64),
-            "aux": (
-                states["aux"].astype(np.float64)
-                if "aux" in states.columns
-                else np.ones(len(states))
-            ),
-        }
-    )
-    return spark.createDataFrame(pdf, schema=_STATE_SCHEMA)
+def _states_df(spark: SparkSession, states: pd.DataFrame, extra: list[str]) -> DataFrame:
+    cols = ["qid", "w", "val"] + (["aux"] if "aux" in states.columns else []) + extra
+    return _upload(spark, states, cols)
 
 
 def aggregate_at(
@@ -124,50 +118,48 @@ def aggregate_at(
 ) -> pd.DataFrame:
     """Recompute the aggregation for every frontier vertex.
 
-    frontier: (qid, v) — vertices whose aggregation reruns.
-    states:   (qid, w, val[, aux]) — in-neighbour states at the previous
-              iteration (aux = sender out-degree for PR).
-    base:     (qid, v, val) — base contributions for frontier vertices.
+    frontier: (qid, v[, t]) — vertices whose aggregation reruns.
+    states:   (qid, w, val[, aux][, t]) — in-neighbour states (aux = sender
+              out-degree for PR). With ``t``, a frontier row at t reads
+              the states at t − 1; without, all states are the previous
+              iteration's.
+    base:     (qid, v[, t], val) — base contributions for frontier vertices.
 
-    Returns (qid, v, val). Frontier vertices with no messages and no base
-    are absent (= unreachable / +inf to the caller).
+    Returns (qid, v[, t], val). Frontier vertices with no messages and no
+    base are absent (= unreachable / +inf to the caller).
     """
+    keys = ["qid", "v"] + (["t"] if "t" in frontier.columns else [])
     if not len(frontier):
-        return pd.DataFrame({"qid": [], "v": [], "val": []})
-    fr = spark.createDataFrame(
-        pd.DataFrame(
-            {"qid": frontier["qid"].astype(np.int64), "v": frontier["v"].astype(np.int64)}
-        ),
-        schema=_FRONTIER_SCHEMA,
-    )
+        return _empty(keys + ["val"])
+    fr = _upload(spark, frontier, keys)
     parts = []
     if len(states):
-        st = _states_df(spark, states)
+        st = _states_df(spark, states, keys[2:])
+        on = (edges_sp["src"] == st["w"]) & (fr["qid"] == st["qid"])
+        if "t" in keys:
+            on &= fr["t"] == st["t"] + 1
         msgs = (
             edges_sp.join(fr, on=edges_sp["dst"] == fr["v"], how="inner")
-            .join(st, on=(edges_sp["src"] == st["w"]) & (fr["qid"] == st["qid"]), how="inner")
-            .select(fr["qid"].alias("qid"), fr["v"].alias("v"), _message_col(spec).alias("mval"))
+            .join(st, on=on, how="inner")
+            .select(*[fr[k].alias(k) for k in keys], _message_col(spec).alias("mval"))
         )
         parts.append(msgs)
     if len(base):
-        bs = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "qid": base["qid"].astype(np.int64),
-                    "v": base["v"].astype(np.int64),
-                    "val": base["val"].astype(np.float64),
-                }
-            ),
-            schema=_MSG_SCHEMA,
-        ).select("qid", "v", F.col("val").alias("mval"))
-        parts.append(bs)
-    if not parts:
-        return pd.DataFrame({"qid": [], "v": [], "val": []})
-    allm = parts[0]
-    for p in parts[1:]:
-        allm = allm.unionByName(p)
-    out = allm.groupBy("qid", "v").agg(_agg_expr(spec).alias("val"))
-    return out.toPandas()
+        parts.append(_upload(spark, base, keys + ["val"]).withColumnRenamed("val", "mval"))
+    return _aggregate(parts, keys, spec)
+
+
+def _sent(spark, edges_sp, changed, spec, keys) -> list[DataFrame]:
+    """The Join operator from the sender side: one message per (changed w,
+    out-edge), keyed by ``keys`` (receiver ``v`` = the edge's dst)."""
+    if not len(changed):
+        return []
+    st = _states_df(spark, changed, [k for k in keys if k == "it"])
+    cols = [(edges_sp["dst"] if k == "v" else st[k]).alias(k) for k in keys]
+    msgs = edges_sp.join(st, on=edges_sp["src"] == st["w"], how="inner").select(
+        *cols, _message_col(spec).alias("mval")
+    )
+    return [msgs]
 
 
 def push_messages(
@@ -181,14 +173,8 @@ def push_messages(
     changed: (qid, w, val[, aux]) — the frontier's new states.
     Returns (qid, v, val): per-destination aggregated incoming messages.
     """
-    if not len(changed):
-        return pd.DataFrame({"qid": [], "v": [], "val": []})
-    st = _states_df(spark, changed)
-    msgs = edges_sp.join(st, on=edges_sp["src"] == st["w"], how="inner").select(
-        st["qid"].alias("qid"), edges_sp["dst"].alias("v"), _message_col(spec).alias("mval")
-    )
-    out = msgs.groupBy("qid", "v").agg(_agg_expr(spec).alias("val"))
-    return out.toPandas()
+    keys = ["qid", "v"]
+    return _aggregate(_sent(spark, edges_sp, changed, spec, keys), keys, spec)
 
 
 def raw_messages(
@@ -196,52 +182,17 @@ def raw_messages(
     edges_sp: DataFrame,
     changed: pd.DataFrame,
     spec: QuerySpec,
-    *,
-    carry_it: bool = False,
 ) -> pd.DataFrame:
     """Un-aggregated Join output: one message row per (changed w, out-edge).
 
     VDC materializes these as its δJ difference store — precisely the
     collection the JOD optimization drops. Returns (qid, v, w, val), plus
-    the sender's ``it`` column when ``carry_it`` (for bulk δJ builds).
+    the sender's ``it`` when ``changed`` has that column (bulk δJ builds).
+    Parallel edges from the same sender combine under the aggregator
+    (min/sum are associative), so the δJ trace stays keyed by sender.
     """
-    cols = {"qid": [], "v": [], "w": [], "val": []}
-    if carry_it:
-        cols["it"] = []
-    if not len(changed):
-        return pd.DataFrame(cols)
-    schema = _STATE_SCHEMA
-    pdf = pd.DataFrame(
-        {
-            "qid": changed["qid"].astype(np.int64),
-            "w": changed["w"].astype(np.int64),
-            "val": changed["val"].astype(np.float64),
-            "aux": (
-                changed["aux"].astype(np.float64)
-                if "aux" in changed.columns
-                else np.ones(len(changed))
-            ),
-        }
-    )
-    if carry_it:
-        pdf["it"] = changed["it"].astype(np.int64)
-        schema = T.StructType(list(_STATE_SCHEMA.fields) + [T.StructField("it", T.LongType())])
-    st = spark.createDataFrame(pdf, schema=schema)
-    sel = [
-        st["qid"].alias("qid"),
-        edges_sp["dst"].alias("v"),
-        st["w"].alias("w"),
-        _message_col(spec).alias("val"),
-    ]
-    if carry_it:
-        sel.append(st["it"].alias("it"))
-    msgs = edges_sp.join(st, on=edges_sp["src"] == st["w"], how="inner").select(*sel)
-    # Parallel edges from the same sender combine under the aggregator
-    # (min/sum are associative), so the δJ trace stays keyed by sender.
-    keys = ["qid", "v", "w"] + (["it"] if carry_it else [])
-    agg = F.min("val") if spec.agg == "min" else F.sum("val")
-    msgs = msgs.groupBy(*keys).agg(agg.alias("val"))
-    return msgs.toPandas()
+    keys = ["qid", "v", "w"] + (["it"] if "it" in changed.columns else [])
+    return _aggregate(_sent(spark, edges_sp, changed, spec, keys), keys, spec)
 
 
 def aggregate_msgs(
@@ -251,22 +202,9 @@ def aggregate_msgs(
     spec: QuerySpec,
 ) -> pd.DataFrame:
     """Aggregate pre-materialized messages (VDC's reassembled J) plus base."""
-    frames = []
-    for f in (msgs, base):
-        if len(f):
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "qid": f["qid"].astype(np.int64),
-                        "v": f["v"].astype(np.int64),
-                        "val": f["val"].astype(np.float64),
-                    }
-                )
-            )
+    keys = ["qid", "v"]
+    frames = [f[keys + ["val"]] for f in (msgs, base) if len(f)]
     if not frames:
-        return pd.DataFrame({"qid": [], "v": [], "val": []})
-    allm = spark.createDataFrame(pd.concat(frames, ignore_index=True), schema=_MSG_SCHEMA)
-    out = allm.select("qid", "v", F.col("val").alias("mval")).groupBy("qid", "v").agg(
-        _agg_expr(spec).alias("val")
-    )
-    return out.toPandas()
+        return _empty(keys + ["val"])
+    allm = _upload(spark, pd.concat(frames, ignore_index=True), keys + ["val"])
+    return _aggregate([allm.withColumnRenamed("val", "mval")], keys, spec)

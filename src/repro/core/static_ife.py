@@ -60,9 +60,10 @@ def initial_states(spec: QuerySpec, edges: pd.DataFrame) -> pd.DataFrame:
 
 
 def base_rows(spec: QuerySpec, frontier_keys: pd.DataFrame) -> pd.DataFrame:
-    """Base contributions feeding the aggregation for the given frontier."""
+    """Base contributions feeding the aggregation for the given frontier
+    (keyed like the frontier: (qid, v) plus any iteration column)."""
     if spec.base_all:
-        out = frontier_keys[["qid", "v"]].copy()
+        out = frontier_keys.copy()
         out["val"] = (
             out["v"].astype(np.float64) if spec.kind == "wcc" else 0.15
         )
@@ -70,7 +71,7 @@ def base_rows(spec: QuerySpec, frontier_keys: pd.DataFrame) -> pd.DataFrame:
     src_rows = pd.DataFrame(
         [(qid, s, 0.0) for qid, s in spec.sources.items()], columns=["qid", "v", "val"]
     )
-    return src_rows.merge(frontier_keys[["qid", "v"]], on=["qid", "v"], how="inner")
+    return frontier_keys.merge(src_rows, on=["qid", "v"], how="inner")
 
 
 def _round(vals: pd.Series) -> pd.Series:
@@ -88,7 +89,6 @@ def run_static(
     """Run the static IFE to its stop condition; record the change trace."""
     own_edges = edges_sp is None
     if own_edges:
-        fr.tune(spark)
         edges_sp = fr.edges_to_spark(spark, edges)
     try:
         if spec.kind == "pr":
@@ -144,12 +144,11 @@ def _run_pr(spark, edges, edges_sp, spec) -> StaticResult:
     all_keys = cur[["qid", "v"]]
     bases = base_rows(spec, all_keys)
     for i in range(1, spec.max_iters + 1):
-        states = cur.rename(columns={"v": "w"}).copy()
-        states["aux"] = states["w"].map(outdeg).fillna(1.0)
+        states = fr.sender_states(cur, spec, outdeg)
         new = fr.aggregate_at(spark, edges_sp, all_keys, states, bases, spec)
         new = all_keys.merge(new, on=["qid", "v"], how="left")
         # Vertices with no in-messages keep only their base contribution.
-        new["val"] = new["val"].fillna(0.15 if spec.kind == "pr" else np.nan)
+        new["val"] = new["val"].fillna(0.15)
         old = cur.rename(columns={"val": "val_old"})
         cmp = new.merge(old, on=["qid", "v"], how="left")
         ch = cmp[_round(cmp["val"]) != _round(cmp["val_old"])][["qid", "v", "val"]]

@@ -2,12 +2,13 @@
 
 The defining difference from DC^JOD (§4) is that vanilla DC materializes
 the Join operator's output differences. ``VDCEngine`` therefore maintains a
-second eager-merged difference store, δJ, with one message trace per
-(qid, receiver v, sender w): rows ``(qid, v, it, w, val)`` meaning "the
-message from w to v changed to val at iteration it". Aggregation reruns
-reassemble J from this store (a lookup) instead of re-joining edges with
-neighbour states (what JOD does on demand) — and the store's rows are the
-memory that JOD saves (counted at 24 B each by :mod:`repro.core.memory`).
+second eager-merged difference store, δJ: the same
+:class:`repro.core.store.DiffStore` as D, keyed by (qid, receiver v,
+sender w), with rows ``(qid, v, w, it, val)`` meaning "the message from w
+to v changed to val at iteration it". Aggregation reruns reassemble J from
+this store (a lookup) instead of re-joining edges with neighbour states
+(what JOD does on demand) — and the store's rows are the memory that JOD
+saves (counted at 24 B each by :mod:`repro.core.memory`).
 
 δJ maintenance:
 
@@ -33,27 +34,8 @@ from repro.core import frontier as fr
 from repro.core import static_ife
 from repro.core.engine import DCJODEngine
 from repro.core.specs import INF
+from repro.core.store import J_KEYS, DiffStore
 from repro.graphs.updates import Batch
-
-_J_COLS = ["qid", "v", "it", "w", "val"]
-
-
-def _j_frame(df: pd.DataFrame | None = None) -> pd.DataFrame:
-    if df is None or not len(df):
-        return pd.DataFrame(
-            {
-                "qid": pd.Series(dtype=np.int64),
-                "v": pd.Series(dtype=np.int64),
-                "it": pd.Series(dtype=np.int64),
-                "w": pd.Series(dtype=np.int64),
-                "val": pd.Series(dtype=np.float64),
-            }
-        )
-    out = df[_J_COLS].copy()
-    for c in ("qid", "v", "it", "w"):
-        out[c] = out[c].astype(np.int64)
-    out["val"] = out["val"].astype(np.float64)
-    return out.reset_index(drop=True)
 
 
 class VDCEngine(DCJODEngine):
@@ -64,131 +46,65 @@ class VDCEngine(DCJODEngine):
     def __init__(self, spark, spec, initial_edges, drop_manager=None) -> None:
         if drop_manager is not None:
             raise ValueError("partial dropping composes with JOD, not VDC (§5)")
-        self.jstore = _j_frame()
+        self.jstore = DiffStore(keys=J_KEYS)
         super().__init__(spark, spec, initial_edges, None)
 
     # ----------------------------------------------------------- δJ plumbing
-    def _j_upsert(self, rows: pd.DataFrame) -> None:
-        if not len(rows):
-            return
-        merged = pd.concat([self.jstore, _j_frame(rows)], ignore_index=True)
-        self.jstore = merged.drop_duplicates(
-            subset=["qid", "v", "it", "w"], keep="last"
-        ).reset_index(drop=True)
-
-    def _j_delete_sender(self, senders: pd.DataFrame, max_it: int | None = None) -> None:
-        """Drop all messages from (qid, w) senders (optionally it <= max_it)."""
-        if not len(senders) or not len(self.jstore):
-            return
-        k = senders[["qid", "w"]].drop_duplicates()
-        m = self.jstore.merge(k.assign(_hit=1), on=["qid", "w"], how="left")
-        mask = m["_hit"].notna()
-        if max_it is not None:
-            mask &= m["it"] <= max_it
-        self.jstore = self.jstore[~mask.to_numpy()].reset_index(drop=True)
-
-    def _sender_states(self, states: pd.DataFrame) -> pd.DataFrame:
-        """Decorate sender states with aux (out-degree) when PR needs it."""
-        st = states.copy()
-        if self.spec.needs_outdeg and len(st):
-            st["aux"] = st["w"].map(self._outdeg).fillna(1.0)
-        return st
-
-    def _rebuild_sender_messages(self, senders: pd.DataFrame) -> None:
-        """Recompute the full out-message trace of the given (qid, w) senders
-        from their current state trace and the current edges (one Join job)."""
-        self._j_delete_sender(senders)
-        trace = self.store.rows_for_keys(senders.rename(columns={"w": "v"}))
-        if not len(trace):
-            return
-        changed = trace.rename(columns={"v": "w"})[["qid", "w", "val", "it"]]
-        raw = fr.raw_messages(
-            self.spark, self._edges_sp, self._sender_states(changed), self.spec, carry_it=True
-        )
-        if len(raw):
-            raw["it"] = raw["it"] + 1
-            self._j_upsert(raw)
+    def _store_messages(self, trace: pd.DataFrame) -> None:
+        """Store the messages a (qid, v, it, val) state trace sends: a state
+        at it reaches the out-neighbours at it+1 (one Join job)."""
+        sent = fr.sender_states(trace, self.spec, self._outdeg)
+        raw = fr.raw_messages(self.spark, self._edges_sp, sent, self.spec)
+        self.jstore.set_rows(raw.assign(it=raw["it"] + 1))
 
     # ------------------------------------------------------------- engine hooks
     def _load_initial(self) -> None:
-        res = static_ife.run_static(self.spark, self.edges, self.spec, edges_sp=self._edges_sp)
-        self.max_it = max(self.max_it, res.n_iters)
-        self._store_new_rows(res.trace)
-        changed = res.trace.rename(columns={"v": "w"})[["qid", "w", "val", "it"]]
-        raw = fr.raw_messages(
-            self.spark, self._edges_sp, self._sender_states(changed), self.spec, carry_it=True
-        )
-        if len(raw):
-            raw["it"] = raw["it"] + 1
-            self._j_upsert(raw)
+        super()._load_initial()
+        self._store_messages(self.store.df)
 
     def _on_batch_start(self, batch: Batch) -> None:
+        """Rebuild the full out-message trace of every changed edge's source
+        from its current state trace and the current edges."""
         qids = np.asarray(self.spec.qids(), np.int64)
         srcs = batch.changes["src"].unique().astype(np.int64)
-        if self.spec.needs_outdeg:
-            # out-degree changed for these sources; their messages all change
-            pass  # (rebuild below already covers every message from them)
         senders = pd.DataFrame(
-            {
-                "qid": np.repeat(qids, len(srcs)),
-                "w": np.tile(srcs, len(qids)),
-            }
+            {"qid": np.repeat(qids, len(srcs)), "w": np.tile(srcs, len(qids))}
         )
-        self._rebuild_sender_messages(senders)
+        self.jstore.delete_rows(senders)
+        trace = self.store.rows_for_keys(senders.rename(columns={"w": "v"}))
+        if len(trace):
+            self._store_messages(trace)
 
     def _on_changed(self, changed: pd.DataFrame, i: int) -> None:
-        fin = changed[np.isfinite(changed["val"])]
         dead = changed[~np.isfinite(changed["val"])]
         if len(dead):
             # unreachable at i ⇒ unreachable at every earlier iteration of
             # the new trace ⇒ all its messages at it <= i+1 are stale.
-            self._j_delete_sender(dead.rename(columns={"v": "w"}), max_it=i + 1)
-        if not len(fin):
+            sent = self.jstore.rows_for_keys(dead.rename(columns={"v": "w"})[["qid", "w"]])
+            self.jstore.delete_rows(sent[sent["it"] <= i + 1])
+        st = fr.sender_states(changed, self.spec, self._outdeg)
+        if not len(st):
             return
-        st = fin.rename(columns={"v": "w"})[["qid", "w", "val"]]
-        raw = fr.raw_messages(self.spark, self._edges_sp, self._sender_states(st), self.spec)
+        raw = fr.raw_messages(self.spark, self._edges_sp, st, self.spec)
         if not len(raw):
             return
-        raw["it"] = np.int64(i + 1)
         # Eager-merge hygiene: if the new message equals the sender's message
         # value already in force at iteration i, there is no difference at
-        # i+1 — delete any stale row instead of storing a redundant one.
-        prevmsg = self._messages_at(raw[["qid", "v", "w"]], i)
-        cmp = raw.merge(
-            prevmsg.rename(columns={"val": "pval"}), on=["qid", "v", "w"], how="left"
-        )
-        same = cmp["pval"].notna() & (cmp["pval"] == cmp["val"])
-        stale = cmp[same][["qid", "v", "it", "w"]]
-        if len(stale) and len(self.jstore):
-            m = self.jstore.merge(stale.assign(_hit=1), on=["qid", "v", "it", "w"], how="left")
-            self.jstore = self.jstore[m["_hit"].isna().to_numpy()].reset_index(drop=True)
-        self._j_upsert(cmp[~same][_J_COLS])
-
-    def _messages_at(self, keys: pd.DataFrame, t: int) -> pd.DataFrame:
-        """Reassemble J entries: latest message per (qid, v, w) with it <= t."""
-        if not len(self.jstore) or not len(keys):
-            return pd.DataFrame({"qid": [], "v": [], "w": [], "val": []})
-        k = keys[["qid", "v", "w"]].drop_duplicates()
-        m = self.jstore.merge(k, on=["qid", "v", "w"], how="inner")
-        m = m[m["it"] <= t]
-        if not len(m):
-            return pd.DataFrame({"qid": [], "v": [], "w": [], "val": []})
-        m = m.sort_values("it").groupby(["qid", "v", "w"], as_index=False).last()
-        return m[["qid", "v", "w", "val"]]
+        # i+1 — delete any stale row instead of storing a redundant one. An
+        # absent message reads +inf and never equals a (finite) new one.
+        prev = self.jstore.latest_leq(raw, i).rename(columns={"val": "pval"})
+        cmp = raw.merge(prev[[*J_KEYS, "pval"]], on=list(J_KEYS), how="left")
+        cmp["it"] = np.int64(i + 1)
+        same = (cmp["pval"] == cmp["val"]).to_numpy()
+        self.jstore.delete_rows(cmp[same])
+        self.jstore.set_rows(cmp[~same])
 
     def _recompute(self, F: pd.DataFrame, i: int) -> pd.DataFrame:
         """Rerun the aggregation reading J from the δJ store (no re-join)."""
         # prev states for the change comparison (store lookup; VDC never drops)
         look = self.store.latest_leq(F, i - 1)
         self._last_states = look[["qid", "v", "val"]]
-        msgs = pd.DataFrame({"qid": [], "v": [], "w": [], "val": []})
-        if len(self.jstore):
-            sub = self.jstore.merge(F[["qid", "v"]].drop_duplicates(), on=["qid", "v"])
-            sub = sub[sub["it"] <= i]
-            if len(sub):
-                msgs = sub.sort_values("it").groupby(
-                    ["qid", "v", "w"], as_index=False
-                ).last()[["qid", "v", "w", "val"]]
+        msgs = self.jstore.snapshot_at(i, F[["qid", "v"]])
         base = static_ife.base_rows(self.spec, F)
         agg = fr.aggregate_msgs(self.spark, msgs, base, self.spec)
         new = F.merge(agg, on=["qid", "v"], how="left")

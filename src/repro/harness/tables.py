@@ -18,7 +18,6 @@ runs on one local session in tens of minutes — see DESIGN.md §6):
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,15 @@ N_QUERIES = envi("REPRO_QUERIES", 10)
 
 
 def get_spark(app: str):
-    """Session for standalone (spark-submit) job execution."""
+    """The one place that configures a Spark session (jobs and tests).
+
+    The session default of 64 partitions per shuffle suits one big scan;
+    an IFE maintenance pass issues hundreds of joins over frames of a few
+    thousand rows, where per-partition scheduling overhead dominates. 8
+    partitions keep the shuffle path exercised (broadcast joins stay
+    disabled) without drowning in task latency. Master and driver memory
+    come from ``PYSPARK_SUBMIT_ARGS`` when it is already set.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --driver-memory 8g --conf spark.driver.host=127.0.0.1 "
@@ -85,12 +92,3 @@ def emit(name: str, df: pd.DataFrame) -> pd.DataFrame:
         print(df.to_string(index=False))
         print(f"[written {path}]")
     return df
-
-
-class StopWatch:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *a):
-        self.s = time.perf_counter() - self.t0

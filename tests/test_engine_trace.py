@@ -98,7 +98,7 @@ class TestExample1JoinFanout:
             eng.apply_batch(_batch(b1))
             # d (=3) has out-edges to c (=2) and e (=4): its change at iter 1
             # must be reflected in messages to both at iter 2.
-            j = eng.jstore
+            j = eng.jstore.df
             d_msgs = j[(j["w"] == 3) & (j["it"] == 2)]
             assert set(d_msgs["v"]) == {2, 4}
         finally:

@@ -81,6 +81,32 @@ def _sym_batches(batches):
     return out
 
 
+def _assert_dj_agrees_with_d(eng):
+    """VDC's δJ store, reassembled at every iteration t, equals the Join of
+    the current edges with D at t-1 (parallel edges combined by the
+    aggregator), computed independently in pandas."""
+    e, spec = eng.edges, eng.spec
+    outdeg = e.groupby("src").size()
+    for t in range(eng.max_it + 1):
+        got = eng.jstore.snapshot_at(t)
+        d = eng.store.snapshot_at(t - 1).rename(columns={"v": "w"})
+        m = e.merge(d, left_on="src", right_on="w")
+        msg = {
+            "sssp": lambda: m["val"] + m["weight"],
+            "khop": lambda: m["val"] + 1.0,
+            "wcc": lambda: m["val"],
+            "pr": lambda: 0.85 * m["val"] / m["w"].map(outdeg),
+        }[spec.kind]()
+        exp = (
+            m.assign(v=m["dst"], val=msg)
+            .groupby(["qid", "v", "w"], as_index=False)["val"]
+            .agg(spec.agg)
+        )
+        cmp = got.merge(exp, on=["qid", "v", "w"], how="outer", suffixes=("_j", "_d"))
+        bad = cmp[~((cmp["val_j"] - cmp["val_d"]).abs() <= 1e-9)]
+        assert not len(bad), f"δJ disagrees with D at t={t}:\n{bad}"
+
+
 SYSTEMS = ["vdc", "jod", "det-degree", "det-random", "prob-degree", "prob-random"]
 KINDS = ["sssp", "khop", "wcc", "pr"]
 
@@ -106,6 +132,8 @@ def test_gold(spark, system, kind, delete_prob):
             exp = run_static(spark, eng.edges, spec).final
             got = eng.final_states()
             assert_states_match(got, exp)
+            if sysname == "vdc":
+                _assert_dj_agrees_with_d(eng)
         if kind == "sssp":
             cap = float(eng.edges["weight"].sum())
             src = spec.sources[0]

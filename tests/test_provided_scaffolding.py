@@ -1,42 +1,29 @@
-"""Smoke tests for the provided scaffolding (synth_data generators, oracle)."""
-import pandas as pd
+"""Smoke tests for the provided scaffolding (the DuckDB oracle)."""
 import pytest
 
-from repro import oracle, synth_data
+from repro import oracle
+from tests.helpers import tiny_graph
 
 
-class TestSynthData:
-    def test_lineitem_shape(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        assert li.count() == 6000
-        assert "l_orderkey" in li.columns
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=100).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-    def test_uniform_keys(self, spark):
-        df = synth_data.uniform_keys(spark, n=1000, n_keys=10).toPandas()
-        assert df["k"].between(1, 10).all()
+@pytest.fixture
+def edges(spark):
+    return spark.createDataFrame(tiny_graph(seed=3))
 
 
 class TestOracle:
-    def test_agreement_passes(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").count().withColumnRenamed("count", "n")
+    def test_agreement_passes(self, spark, edges):
+        got = edges.groupBy("src").count().withColumnRenamed("count", "n")
         oracle.assert_equivalent(
             got,
-            "SELECT l_returnflag, COUNT(*) AS n FROM li GROUP BY l_returnflag",
-            li=li,
+            "SELECT src, COUNT(*) AS n FROM e GROUP BY src",
+            e=edges,
         )
 
-    def test_disagreement_fails(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").count().withColumnRenamed("count", "n")
+    def test_disagreement_fails(self, spark, edges):
+        got = edges.groupBy("src").count().withColumnRenamed("count", "n")
         with pytest.raises(AssertionError):
             oracle.assert_equivalent(
                 got,
-                "SELECT l_returnflag, COUNT(*) + 1 AS n FROM li GROUP BY l_returnflag",
-                li=li,
+                "SELECT src, COUNT(*) + 1 AS n FROM e GROUP BY src",
+                e=edges,
             )
